@@ -122,16 +122,6 @@ class AppInstance:
         iterations = self.setup(state)
         return state, iterations
 
-    def fresh_state_with_stream(self, stream: list,
-                                **kwargs) -> tuple[MachineState, int]:
-        """Like :meth:`fresh_state` but feeding a caller-supplied (e.g.
-        fault-perturbed) packet stream; requires ``feed``."""
-        if self.feed is None:
-            raise ValueError(f"app {self.name!r} has no stream/feed split")
-        state = MachineState(self.module, **kwargs)
-        iterations = self.feed(state, stream)
-        return state, iterations
-
 
 def _compile(source: str) -> Module:
     module = lower_program(compile_source(source))

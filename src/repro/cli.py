@@ -599,7 +599,6 @@ def cmd_bench(args) -> int:
     degrees = list(range(1, 5)) if args.quick else None
     result = bench_headline(packets=args.packets,
                             degrees=degrees,
-                            measure_reference=not args.no_reference,
                             jobs=args.jobs,
                             cache=_open_cache(args),
                             keep_going=args.keep_going,
@@ -623,10 +622,6 @@ def cmd_bench(args) -> int:
                 f"({rate / 1e6:.2f} Minstr/s)" if rate else
                 f"  {figure}: {entry['wall_seconds']:.3f}s simulation")
         print(line)
-        if "speedup_vs_reference" in entry:
-            print(f"    reference interpreter: "
-                  f"{entry['reference_wall_seconds']:.3f}s "
-                  f"-> {entry['speedup_vs_reference']:.2f}x speedup")
     if args.profile and result.get("partition_breakdown"):
         print(_partition_profile_table(result["partition_breakdown"]))
     if "cache" in result:
@@ -1008,14 +1003,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "committed baseline stays untouched)")
     p_bench.add_argument("--quick", action="store_true",
                          help="small degree sweep (1-4) for smoke runs")
-    p_bench.add_argument("--no-reference", action="store_true",
-                         help="skip the reference-interpreter 'before' run")
     p_bench.add_argument("-j", "--jobs", type=int, default=1,
-                         help="fan (figure, app) sweep cells over N worker "
+                         help="fan the per-app sweep cells over N worker "
                               "processes")
     p_bench.add_argument("--keep-going", action="store_true",
-                         help="with -j: record failed sweep cells and "
-                              "keep running instead of failing fast")
+                         help="record failed sweep cells and keep "
+                              "running instead of failing fast")
     p_bench.add_argument("--no-warm-start", action="store_true",
                          help="solve every cut cold instead of seeding it "
                               "from related earlier solves")

@@ -55,10 +55,8 @@ class SweepTask:
     degrees: tuple                  # pipeline degrees to measure
     packets: int
     seed: int
-    reference: bool = False         # bench: use the reference interpreter
     plans: tuple | None = None      # chaos: builtin plan names (None = all)
     cache_dir: str | None = None    # shared CompileCache root
-    label: str | None = None        # grouping tag (e.g. figure name)
     warm_start: bool = True         # bench/partition: cross-degree seeding
     ring: str | None = None         # explore: cost-table name
     epsilon: float | None = None    # explore: balance slack knob
@@ -68,15 +66,13 @@ class SweepTask:
     #                                 instead of failing the whole row
 
     def describe(self) -> str:
-        tag = f" [{self.label}]" if self.label else ""
-        ref = " (reference)" if self.reference else ""
         knobs = ""
         if self.kind == "explore":
             knobs = (f" ring={self.ring} eps={self.epsilon:g} "
                      f"inc={'on' if self.incremental else 'off'} "
                      f"mbi={self.max_block_instructions}")
-        return (f"{self.kind} {self.app} D={','.join(map(str, self.degrees))}"
-                f"{ref}{knobs}{tag}")
+        degrees = ",".join(map(str, self.degrees))
+        return f"{self.kind} {self.app} D={degrees}{knobs}"
 
     def repro_command(self) -> str:
         """A copy-paste one-liner that re-runs this exact cell inline."""
@@ -125,21 +121,17 @@ def derive_seed(base: int, *parts) -> int:
 
 def bench_tasks(apps: list[str], degrees: list[int], *, packets: int,
                 seed: int, cache_dir: str | None = None,
-                reference: bool = False,
-                label: str | None = None,
                 warm_start: bool = True) -> list[SweepTask]:
     """Bench cells ordered by app (each cell covers all its degrees)."""
     return [SweepTask(kind="bench", app=app, degrees=tuple(degrees),
-                      packets=packets, seed=seed, reference=reference,
-                      cache_dir=cache_dir, label=label,
+                      packets=packets, seed=seed, cache_dir=cache_dir,
                       warm_start=warm_start)
             for app in apps]
 
 
 def partition_tasks(apps: list[str], degrees, *, packets: int, seed: int,
                     cache_dir: str | None = None,
-                    warm_start: bool = True,
-                    label: str | None = None) -> list[SweepTask]:
+                    warm_start: bool = True) -> list[SweepTask]:
     """Partition-plan cells: one per app, covering its whole degree row.
 
     A cell keeps all of an app's degrees together so the worker shares
@@ -149,7 +141,7 @@ def partition_tasks(apps: list[str], degrees, *, packets: int, seed: int,
     """
     return [SweepTask(kind="partition", app=app, degrees=tuple(degrees),
                       packets=packets, seed=seed, cache_dir=cache_dir,
-                      warm_start=warm_start, label=label)
+                      warm_start=warm_start)
             for app in apps]
 
 
@@ -344,7 +336,6 @@ def _execute_explore(task: SweepTask) -> dict:
     return {
         "kind": "explore",
         "app": task.app,
-        "label": task.label,
         "seed": task.seed,
         "ring": costs.name,
         "epsilon": task.epsilon,
@@ -391,7 +382,6 @@ def _execute_partition(task: SweepTask) -> dict:
     return {
         "kind": "partition",
         "app": task.app,
-        "label": task.label,
         "seed": task.seed,
         "degrees": sorted(task.degrees),
         "warm_start": task.warm_start,
@@ -405,66 +395,59 @@ def _execute_partition(task: SweepTask) -> dict:
 
 
 def _execute_bench(task: SweepTask) -> dict:
-    from time import perf_counter
+    """Build, partition, compile and simulate one app's degree row.
 
+    Each phase is a :class:`~repro.obs.PhaseTimer` span, so an inline
+    (``jobs=1``) bench under a tracer shows the same phases the record's
+    ``timing`` reports.  Compilation is measured cold; it is otherwise
+    amortized into the first simulation of each function.
+    """
     from repro.apps.suite import build_app
     from repro.eval.metrics import (
         measure_pipeline,
         measure_sequential,
         partition_app,
     )
-    from repro.runtime.compile import compile_function
-    from repro.runtime.mode import reference_mode
+    from repro.obs import PhaseTimer
+    from repro.runtime.compile import clear_cache, compile_function
 
     cache = _open_cache(task)
-    start = perf_counter()
-    app = build_app(task.app, packets=task.packets, seed=task.seed)
-    build_seconds = perf_counter() - start
+    phases = PhaseTimer()
+    with phases.phase("build", app=task.app):
+        app = build_app(task.app, packets=task.packets, seed=task.seed)
 
-    start = perf_counter()
-    transforms, breakdown = partition_app(app, task.degrees, cache=cache,
-                                          warm_start=task.warm_start)
-    partition_seconds = perf_counter() - start
+    with phases.phase("partition", app=task.app):
+        transforms, breakdown = partition_app(app, task.degrees, cache=cache,
+                                              warm_start=task.warm_start)
 
-    start = perf_counter()
-    for transform in transforms.values():
-        for stage in transform.stages:
-            compile_function(stage.function)
-    compile_function(app.module.pps(app.pps_name))
-    compile_seconds = perf_counter() - start
+    clear_cache()
+    with phases.phase("compile", app=task.app):
+        compile_function(app.module.pps(app.pps_name))
+        for transform in transforms.values():
+            for stage in transform.stages:
+                compile_function(stage.function)
 
     instructions = 0
-    series: dict[int, float] = {}
-    start = perf_counter()
-    with reference_mode(task.reference):
+    series: dict[int, float] = {1: 1.0}
+    with phases.phase("simulate", app=task.app):
         baseline = measure_sequential(app)
         instructions += baseline.total_instructions
-        for degree in sorted(task.degrees):
-            if degree == 1:
-                series[1] = 1.0
-                continue
+        for degree, transform in transforms.items():
             measured = measure_pipeline(app, degree, baseline=baseline,
-                                        transform=transforms[degree])
+                                        transform=transform)
             instructions += measured.total_instructions
             series[degree] = round(measured.speedup, 4)
-    simulate_seconds = perf_counter() - start
 
     return {
         "kind": "bench",
         "app": task.app,
-        "label": task.label,
-        "reference": task.reference,
         "seed": task.seed,
         "degrees": sorted(task.degrees),
         "speedup_by_degree": series,
         "partition_breakdown": breakdown,
         "simulated_instructions": instructions,
-        "timing": {
-            "build_seconds": build_seconds,
-            "partition_seconds": partition_seconds,
-            "compile_seconds": compile_seconds,
-            "simulate_seconds": simulate_seconds,
-        },
+        "timing": {f"{name}_seconds": seconds
+                   for name, seconds in phases.seconds.items()},
         "cache": cache.counters() if cache is not None else None,
     }
 
@@ -603,7 +586,6 @@ def _failure_record(task: SweepTask, error: Exception) -> dict:
     return {
         "kind": task.kind,
         "app": task.app,
-        "label": task.label,
         "seed": task.seed,
         "ok": False,
         "failed": True,
@@ -616,10 +598,6 @@ def _failure_record(task: SweepTask, error: Exception) -> dict:
 def _guarded(worker, task: SweepTask, *, keep_going: bool = False) -> dict:
     try:
         return worker(task)
-    except SweepError as exc:
-        if keep_going:
-            return _failure_record(task, exc)
-        raise
     except ReproError as exc:
         if keep_going:
             return _failure_record(task, exc)

@@ -203,7 +203,7 @@ def test_keep_going_flags_parse():
 
 def test_bench_writes_report(tmp_path, capsys):
     output = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--packets", "8", "--no-reference",
+    assert main(["bench", "--quick", "--packets", "8",
                  "-o", str(output)]) == 0
     out = capsys.readouterr().out
     assert "figure19" in out
@@ -215,5 +215,3 @@ def test_bench_writes_report(tmp_path, capsys):
     assert report["config"]["packets"] == 8
     assert report["config"]["degrees"] == [1, 2, 3, 4]
     assert report["figures"]["figure19"]["simulated_instructions"] > 0
-    # --no-reference skips the before/after comparison run.
-    assert "speedup_vs_reference" not in report["figures"]["figure19"]

@@ -47,12 +47,9 @@ def test_chaos_tasks_thread_derived_seeds_in_sorted_order():
     assert tasks[1].seed == derive_seed(7, "chaos", "tx")
 
 
-def test_bench_tasks_preserve_app_order_and_label():
-    tasks = bench_tasks(["tx", "rx"], [1, 2], packets=8, seed=7,
-                        label="figure19", reference=True)
+def test_bench_tasks_preserve_app_order():
+    tasks = bench_tasks(["tx", "rx"], [1, 2], packets=8, seed=7)
     assert [task.app for task in tasks] == ["tx", "rx"]
-    assert all(task.label == "figure19" and task.reference
-               for task in tasks)
 
 
 # -- deterministic merge ----------------------------------------------------
