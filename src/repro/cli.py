@@ -12,7 +12,7 @@ Usage (also via ``python -m repro``)::
         --watchdog-quantum 200000 \\
         --isolate-traps                      # chaos-hardened execution
     repro trace file.ppc --pps NAME -d 4 \\
-        -o trace.json                        # Chrome-trace of compile + run
+        -o trace.json                        # `run` under a tracer
     repro chaos [--app ipv4] [--plans ...]   # chaos differential check
     repro chaos --sweep -j 4                 # parallel multi-app chaos sweep
     repro serve --shards 4 \\
@@ -31,8 +31,12 @@ PPS-C files conventionally use the ``.ppc`` extension.
 (:mod:`repro.pipeline.supervisor`): the result is independently verified
 (:mod:`repro.pipeline.verify`), and on partitioner faults or verifier
 rejection the requested degree degrades down a D → ⌈D/2⌉ → … → 1 ladder
-rather than failing outright.  ``--keep-going`` on ``chaos --sweep`` and
-``bench -j N`` likewise trades fail-fast for per-cell failure records.
+rather than failing outright.  ``repro trace`` is ``repro run`` under a
+tracer (``run``'s flags, defaults ``-d 2`` and ``-o trace.json``,
+always profiling): the trace records the verified partition and the
+sequential reference run the equivalence check compares against.
+``--keep-going`` on ``chaos --sweep``, ``bench``, ``plan`` and
+``explore`` likewise trades fail-fast for per-cell failure records.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
@@ -73,7 +77,7 @@ from repro.ir.printer import format_function, format_module
 from repro.lang import FrontendError, compile_source
 from repro.machine.costs import cost_table, cost_table_names
 from repro.pipeline.liveset import Strategy
-from repro.pipeline.transform import PipelineError, pipeline_pps
+from repro.pipeline.transform import PipelineError
 from repro.runtime.equivalence import assert_equivalent, observe
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
@@ -129,13 +133,73 @@ def _load_fault_plan(spec: str):
     return FaultPlan.load(spec)
 
 
-def _write_dead_letters(path: str, state) -> None:
+def _parse_list(flag: str, value, convert=str) -> tuple:
+    """A comma-separated flag value as a tuple of ``convert``-ed items.
+
+    ``value`` may also be an ``nargs`` list (``--apps rx tx``) whose
+    entries are comma-separated in turn (``--apps rx,tx``).  A bad or
+    missing item is a usage error.
+    """
+    entries = [value] if isinstance(value, str) else value
+    try:
+        items = tuple(convert(part) for entry in entries
+                      for part in entry.split(",") if part)
+    except ValueError as exc:
+        raise CLIError(f"bad {flag} {value!r}: {exc}") from exc
+    if not items:
+        raise CLIError(f"bad {flag} {value!r}: empty list")
+    return items
+
+
+def _write_json(path: str, obj, *, sort_keys: bool = False) -> None:
     import json
 
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump([letter.as_dict() for letter in state.dead_letters],
-                  handle, indent=2)
+        json.dump(obj, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
+
+
+def _add_source_flags(parser, *, pps: bool = True,
+                      degree: int | None = None) -> None:
+    """The PPS-C ``file``, with ``--pps`` and ``-d`` where the command
+    picks a PPS and partitions it."""
+    parser.add_argument("file")
+    if pps:
+        parser.add_argument("--pps")
+    if degree is not None:
+        parser.add_argument("-d", "--degree", type=int, default=degree)
+
+
+def _add_workload_flags(parser, *, packets: int = 60, seed: bool = True,
+                        app: bool = False,
+                        packets_help: str | None = None) -> None:
+    """The generated-traffic knobs: ``--app`` for single-app commands,
+    ``--packets`` (each command keeps its own default) and ``--seed``."""
+    if app:
+        parser.add_argument("--app", default="ipv4",
+                            help="benchmark app (default: ipv4)")
+    parser.add_argument("--packets", type=int, default=packets,
+                        help=packets_help)
+    if seed:
+        parser.add_argument("--seed", type=int, default=7)
+
+
+def _add_sweep_flags(parser, jobs_help: str, *,
+                     keep_going: bool = True) -> None:
+    """``-j`` of the commands that fan cells over a worker pool, and
+    ``--keep-going`` of those that can record a failed cell and go on."""
+    parser.add_argument("-j", "--jobs", type=int, default=1, help=jobs_help)
+    if keep_going:
+        parser.add_argument("--keep-going", action="store_true",
+                            help="record failed cells and keep running "
+                                 "instead of failing fast")
+
+
+def _add_warm_start_flag(parser) -> None:
+    parser.add_argument("--no-warm-start", action="store_true",
+                        help="solve every cut cold instead of seeding it "
+                             "from related earlier solves (the cuts are "
+                             "identical either way)")
 
 
 def _add_cache_flags(parser) -> None:
@@ -154,14 +218,34 @@ def _open_cache(args):
 
 
 def _add_partition_flags(parser) -> None:
-    parser.add_argument("--no-warm-start", action="store_true",
-                        help="solve every cut cold instead of seeding it "
-                             "from the previous degree's preflow (the "
-                             "cuts are identical either way)")
+    """The knobs of commands that partition *and* verify."""
+    _add_warm_start_flag(parser)
     parser.add_argument("--paranoid-verify", action="store_true",
                         help="make the verifier rebuild SSA/dependence/"
                              "liveness from scratch instead of sharing "
                              "the partitioner's analysis context")
+
+
+def _add_run_flags(parser, *, degree: int) -> None:
+    """The flags ``run`` and ``trace`` share (``trace`` is a traced
+    ``run``); only the ``-d`` default differs."""
+    _add_source_flags(parser, degree=degree)
+    parser.add_argument("--iterations", type=int, default=10)
+    parser.add_argument("--feed", action="append",
+                        help="pipe=v1,v2,... (repeatable)")
+    parser.add_argument("--faults", metavar="PLAN",
+                        help="fault-injection plan: builtin name or JSON "
+                             "file")
+    parser.add_argument("--watchdog-quantum", type=int, default=None,
+                        metavar="N",
+                        help="livelock check every N scheduler steps "
+                             "(enables the deadlock watchdog)")
+    parser.add_argument("--isolate-traps", action="store_true",
+                        help="quarantine trapped packets instead of aborting")
+    parser.add_argument("--dead-letters", metavar="FILE",
+                        help="write quarantined-packet records as JSON")
+    _add_partition_flags(parser)
+    _add_cache_flags(parser)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -228,16 +312,19 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, tracer=None) -> int:
+    """``repro run``; :func:`cmd_trace` calls it with its installed
+    ``tracer``, which also gets the run's counter events."""
     module = _load_module(args.file)
-    pps_name = _resolve_pps(module, args.pps)
+    # Resolved in place, so cmd_trace can name the PPS it traced.
+    pps_name = args.pps = _resolve_pps(module, args.pps)
     feeds = _parse_feed(args.feed or [])
 
     plan = _load_fault_plan(args.faults) if args.faults else None
     if plan is not None:
-        # Perturb the host-fed streams ONCE; every run below shares them.
         from repro.runtime.faults import FaultInjector
 
+        # Perturb the host-fed streams ONCE; every run below shares them.
         stream_injector = FaultInjector(plan)
         feeds = {pipe: stream_injector.perturb(pipe, values)
                  for pipe, values in feeds.items()}
@@ -245,8 +332,6 @@ def cmd_run(args) -> int:
     def fresh() -> MachineState:
         state = MachineState(module)
         if plan is not None:
-            from repro.runtime.faults import FaultInjector
-
             injector = FaultInjector(plan)
             injector.arm(state)
             injector.absorb_stream(stream_injector)
@@ -316,74 +401,83 @@ def cmd_run(args) -> int:
             print(f"  {letter.stage} iter {letter.iteration} "
                   f"block {letter.last_block}: {letter.detail}")
     if args.dead_letters:
-        _write_dead_letters(args.dead_letters, state)
+        _write_json(args.dead_letters,
+                    [letter.as_dict() for letter in state.dead_letters])
         print(f"wrote {args.dead_letters}")
     if args.profile:
-        from repro.obs import runtime_report
+        from repro.obs import emit_counter_events, runtime_report
 
-        print(runtime_report(run_stats, state, watchdog=run_watchdog,
-                             cache=cache, partition=outcome).render())
+        report = runtime_report(run_stats, state, watchdog=run_watchdog,
+                                cache=cache, partition=outcome)
+        print(report.render())
+        if tracer is not None:
+            emit_counter_events(tracer, report)
     if outcome is not None and outcome.degraded:
         print(f"warning: {outcome.summary()}", file=sys.stderr)
         return EXIT_DEGRADED
     return EXIT_OK
 
 
+def cmd_trace(args) -> int:
+    """``repro trace``: :func:`cmd_run` under a tracer, so the trace is
+    of the verified run, sequential reference included."""
+    from repro.obs import Tracer, tracing
+
+    tracer = Tracer()
+    with tracing(tracer):
+        code = cmd_run(args, tracer)
+    tracer.write(args.output)
+    spans = sum(1 for e in tracer.events if e.get("ph") == "X")
+    instants = sum(1 for e in tracer.events if e.get("ph") == "i")
+    counters = sum(1 for e in tracer.events if e.get("ph") == "C")
+    print(f"{args.pps}: traced compile + run at degree {args.degree}")
+    print(f"  {spans} spans, {instants} instants, {counters} counter samples")
+    print(f"wrote {args.output} (load in chrome://tracing or Perfetto)")
+    return code
+
+
 def cmd_chaos(args) -> int:
-    import json
-
     from repro.eval.chaos import chaos_differential
-    from repro.runtime.faults import builtin_plans
 
-    try:
-        degrees = tuple(int(d) for d in args.degrees.split(","))
-    except ValueError as exc:
-        raise CLIError(f"bad --degrees {args.degrees!r}: {exc}") from exc
+    degrees = _parse_list("--degrees", args.degrees, int)
     cache = _open_cache(args)
-
     if args.sweep:
-        return _chaos_sweep(args, degrees, cache)
-
-    if args.plans:
-        available = builtin_plans()
-        plans = {}
-        for spec in args.plans:
-            plan = (available[spec] if spec in available
-                    else _load_fault_plan(spec))
-            plans[plan.name or spec] = plan
+        ok, document, letters = _chaos_sweep(args, degrees, cache)
     else:
         plans = None
-
-    letters: list = []
-    report = chaos_differential(args.app, plans=plans, degrees=degrees,
-                                packets=args.packets, seed=args.seed,
-                                collect_letters=letters, cache=cache)
-    print(report.render())
+        if args.plans:
+            plans = {}
+            for spec in args.plans:
+                plan = _load_fault_plan(spec)
+                plans[plan.name or spec] = plan
+        letters = []
+        report = chaos_differential(args.app, plans=plans, degrees=degrees,
+                                    packets=args.packets, seed=args.seed,
+                                    collect_letters=letters, cache=cache)
+        print(report.render())
+        ok, document = report.ok, report.as_dict()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.output, document)
         print(f"wrote {args.output}")
     if args.dead_letters:
-        with open(args.dead_letters, "w", encoding="utf-8") as handle:
-            json.dump(letters, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.dead_letters, letters)
         print(f"wrote {args.dead_letters}")
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 #: Apps with a stream/feed split — the ones the chaos sweep can drive.
 _CHAOS_SWEEP_APPS = ["ip_v4", "ip_v6", "ipv4", "rx"]
 
 
-def _chaos_sweep(args, degrees: tuple, cache) -> int:
-    """``repro chaos --sweep``: the multi-app differential, ``-j N``."""
-    import json
+def _chaos_sweep(args, degrees: tuple, cache) -> tuple[bool, dict, list]:
+    """``repro chaos --sweep``: the multi-app differential, ``-j N``.
 
+    Returns (ok, the merged JSON report, every app's dead letters)."""
     from repro.eval.sweep import chaos_tasks, run_sweep
     from repro.runtime.faults import builtin_plans
 
-    apps = args.apps or list(_CHAOS_SWEEP_APPS)
+    apps = (_parse_list("--apps", args.apps) if args.apps
+            else _CHAOS_SWEEP_APPS)
     plans = None
     if args.plans:
         available = builtin_plans()
@@ -424,27 +518,16 @@ def _chaos_sweep(args, degrees: tuple, cache) -> int:
         for failure in failures:
             print(f"    {failure['repro']}")
 
-    if args.output:
-        merged = {
-            "sweep": True,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "ok": ok,
-            "apps": {result["app"]: result.get("report")
-                     for result in results},
-        }
-        if failures:
-            merged["failures"] = failures
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    if args.dead_letters:
-        with open(args.dead_letters, "w", encoding="utf-8") as handle:
-            json.dump(letters, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.dead_letters}")
-    return 0 if ok else 1
+    merged = {
+        "sweep": True,
+        "seed": args.seed,
+        "jobs": args.jobs,
+        "ok": ok,
+        "apps": {result["app"]: result.get("report") for result in results},
+    }
+    if failures:
+        merged["failures"] = failures
+    return ok, merged, letters
 
 
 def _load_serve_plan(spec: str):
@@ -459,8 +542,7 @@ def _load_serve_plan(spec: str):
 
 
 def cmd_serve(args) -> int:
-    import json
-
+    from repro.obs import Tracer, emit_counter_events, tracing
     from repro.serve import ServePolicy, ServeRuntime
 
     plan = _load_serve_plan(args.faults) if args.faults else None
@@ -477,86 +559,21 @@ def cmd_serve(args) -> int:
                            watchdog_quantum=args.watchdog_quantum,
                            verify=not args.no_verify)
 
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer, tracing
-
-        tracer = Tracer()
-        with tracing(tracer):
-            report = runtime.run(install_sigterm=True)
-    else:
+    tracer = Tracer() if args.trace else None
+    with tracing(tracer, enabled=tracer is not None):
         report = runtime.run(install_sigterm=True)
 
     print(report.render())
     if args.profile:
         print(report.runtime_report(cache=cache).render())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.output, report.as_dict())
         print(f"wrote {args.output}")
     if tracer is not None:
-        from repro.obs import emit_counter_events
-
         emit_counter_events(tracer, report.runtime_report(cache=cache))
         tracer.write(args.trace)
         print(f"wrote {args.trace}")
     return report.exit_code()
-
-
-def cmd_trace(args) -> int:
-    from repro.obs import Tracer, emit_counter_events, runtime_report, tracing
-
-    plan = _load_fault_plan(args.faults) if args.faults else None
-    watchdog = None
-    if args.watchdog_quantum is not None or plan is not None:
-        from repro.runtime.watchdog import Watchdog
-
-        watchdog = Watchdog(args.watchdog_quantum)
-
-    tracer = Tracer()
-    with tracing(tracer):
-        module = _load_module(args.file)
-        pps_name = _resolve_pps(module, args.pps)
-        feeds = _parse_feed(args.feed or [])
-        state = MachineState(module)
-        if plan is not None:
-            from repro.runtime.faults import FaultInjector
-
-            stream_injector = FaultInjector(plan)
-            feeds = {pipe: stream_injector.perturb(pipe, values)
-                     for pipe, values in feeds.items()}
-            injector = FaultInjector(plan)
-            injector.arm(state)
-            injector.absorb_stream(stream_injector)
-        for pipe, values in feeds.items():
-            state.feed_pipe(pipe, values)
-        cache = _open_cache(args) if args.degree > 1 else None
-        if args.degree > 1:
-            result = pipeline_pps(module, pps_name, args.degree, cache=cache)
-            run = run_pipeline(result.stages, state,
-                               iterations=args.iterations,
-                               watchdog=watchdog,
-                               isolate_traps=args.isolate_traps)
-            run_stats = run.stats
-        else:
-            stats = run_sequential(module.pps(pps_name), state,
-                                   iterations=args.iterations,
-                                   watchdog=watchdog,
-                                   isolate_traps=args.isolate_traps)
-            run_stats = {pps_name: stats}
-        report = runtime_report(run_stats, state, watchdog=watchdog,
-                                cache=cache)
-        emit_counter_events(tracer, report)
-    tracer.write(args.output)
-    spans = sum(1 for e in tracer.events if e.get("ph") == "X")
-    instants = sum(1 for e in tracer.events if e.get("ph") == "i")
-    counters = sum(1 for e in tracer.events if e.get("ph") == "C")
-    print(f"{pps_name}: traced compile + run at degree {args.degree}")
-    print(f"  {spans} spans, {instants} instants, {counters} counter samples")
-    print(report.render())
-    print(f"wrote {args.output} (load in chrome://tracing or Perfetto)")
-    return 0
 
 
 def cmd_figures(args) -> int:
@@ -591,7 +608,6 @@ def cmd_figures(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import json
     import os
 
     from repro.eval.metrics import bench_headline
@@ -606,9 +622,7 @@ def cmd_bench(args) -> int:
     parent = os.path.dirname(args.output)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
+    _write_json(args.output, result)
 
     print(f"bench: packets={args.packets} "
           f"degrees={result['config']['degrees']} jobs={args.jobs}")
@@ -662,17 +676,9 @@ def cmd_plan(args) -> int:
     from repro.eval.experiments import FIGURE19_APPS, FIGURE20_APPS
     from repro.eval.sweep import plan_partitions
 
-    try:
-        degrees = [int(d) for d in args.degrees.split(",")]
-    except ValueError as exc:
-        raise CLIError(f"bad --degrees {args.degrees!r}: {exc}") from exc
-    if args.apps:
-        # --degrees is comma-separated, so accept "--apps rx,tx" as well
-        # as the nargs-style "--apps rx tx".
-        apps = [name for entry in args.apps
-                for name in entry.split(",") if name]
-    else:
-        apps = sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS))
+    degrees = _parse_list("--degrees", args.degrees, int)
+    apps = (_parse_list("--apps", args.apps) if args.apps
+            else sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS)))
     cache = _open_cache(args)
     if cache is None and args.jobs > 1:
         print("warning: --no-cache with -j > 1 plans in parallel but "
@@ -699,7 +705,6 @@ def cmd_plan(args) -> int:
 
 def cmd_explore(args) -> int:
     """``repro explore``: cost-aware design-space exploration."""
-    import json
     import os
 
     from repro.eval.experiments import FIGURE19_APPS
@@ -713,34 +718,19 @@ def cmd_explore(args) -> int:
         render_summary,
     )
 
-    def ints(flag: str, text: str) -> tuple:
-        try:
-            return tuple(int(part) for part in text.split(",") if part)
-        except ValueError as exc:
-            raise CLIError(f"bad {flag} {text!r}: {exc}") from exc
-
-    def floats(flag: str, text: str) -> tuple:
-        try:
-            return tuple(float(part) for part in text.split(",") if part)
-        except ValueError as exc:
-            raise CLIError(f"bad {flag} {text!r}: {exc}") from exc
-
-    if args.apps:
-        apps = tuple(name for entry in args.apps
-                     for name in entry.split(",") if name)
-    else:
-        apps = tuple(FIGURE19_APPS)
+    apps = (_parse_list("--apps", args.apps) if args.apps
+            else tuple(FIGURE19_APPS))
     incremental = {"on": (True,), "off": (False,),
                    "both": (True, False)}[args.incremental]
     try:
         space = SearchSpace(
             apps=apps,
-            degrees=ints("--degrees", args.degrees),
-            rings=tuple(part for part in args.rings.split(",") if part),
-            epsilons=floats("--epsilons", args.epsilons),
+            degrees=_parse_list("--degrees", args.degrees, int),
+            rings=_parse_list("--rings", args.rings),
+            epsilons=_parse_list("--epsilons", args.epsilons, float),
             incremental=incremental,
-            max_block_instructions=ints("--max-block-instructions",
-                                        args.max_block_instructions),
+            max_block_instructions=_parse_list(
+                "--max-block-instructions", args.max_block_instructions, int),
             packets=args.packets,
             seed=args.seed,
         ).validate()
@@ -758,9 +748,7 @@ def cmd_explore(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     frontier = deterministic_report(report)
     frontier_path = os.path.join(args.out, "frontier.json")
-    with open(frontier_path, "w", encoding="utf-8") as handle:
-        json.dump(frontier, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(frontier_path, frontier, sort_keys=True)
     with open(os.path.join(args.out, "frontier.md"), "w",
               encoding="utf-8") as handle:
         handle.write(render_markdown(frontier))
@@ -769,10 +757,8 @@ def cmd_explore(args) -> int:
                "cache": report.get("cache"),
                "jobs": args.jobs,
                "cells": space.cell_count()}
-    with open(os.path.join(args.out, "timings.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump(timings, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(os.path.join(args.out, "timings.json"), timings,
+                sort_keys=True)
 
     print(render_summary(report))
     if args.auto_pick:
@@ -791,7 +777,6 @@ def cmd_explore(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    import json
     import os
 
     from repro.eval.fuzz import run_fuzz, self_test
@@ -807,10 +792,7 @@ def cmd_fuzz(args) -> int:
         print("fuzz self-test: every seeded defect caught")
         return EXIT_OK
 
-    try:
-        degrees = tuple(int(d) for d in args.degrees.split(","))
-    except ValueError as exc:
-        raise CLIError(f"bad --degrees {args.degrees!r}: {exc}") from exc
+    degrees = _parse_list("--degrees", args.degrees, int)
     report = run_fuzz(args.seeds, start_seed=args.start_seed,
                       degrees=degrees, packets=args.packets,
                       shrink=not args.no_shrink, jobs=args.jobs)
@@ -822,10 +804,8 @@ def cmd_fuzz(args) -> int:
             with open(os.path.join(args.out, stem + ".ppc"), "w",
                       encoding="utf-8") as handle:
                 handle.write(failure.artifact())
-            with open(os.path.join(args.out, stem + ".json"), "w",
-                      encoding="utf-8") as handle:
-                json.dump(failure.as_dict(), handle, indent=2)
-                handle.write("\n")
+            _write_json(os.path.join(args.out, stem + ".json"),
+                        failure.as_dict())
         print(f"wrote {len(report.failures)} failing programs to "
               f"{args.out}")
     return EXIT_OK if report.ok else EXIT_FAILURE
@@ -840,19 +820,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="compile and semantic-check")
-    p_check.add_argument("file")
+    _add_source_flags(p_check, pps=False)
     p_check.set_defaults(func=cmd_check)
 
     p_ir = sub.add_parser("ir", help="dump the lowered, inlined IR")
-    p_ir.add_argument("file")
-    p_ir.add_argument("--pps")
+    _add_source_flags(p_ir)
     p_ir.add_argument("--no-optimize", action="store_true")
     p_ir.set_defaults(func=cmd_ir)
 
     p_pipe = sub.add_parser("pipeline", help="partition a PPS into stages")
-    p_pipe.add_argument("file")
-    p_pipe.add_argument("--pps")
-    p_pipe.add_argument("-d", "--degree", type=int, default=2)
+    _add_source_flags(p_pipe, degree=2)
     p_pipe.add_argument("--ring", default="nn",
                         choices=cost_table_names(aliases=True))
     p_pipe.add_argument("--epsilon", type=float, default=1.0 / 16.0)
@@ -865,40 +842,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_run = sub.add_parser("run", help="execute on the simulator")
-    p_run.add_argument("file")
-    p_run.add_argument("--pps")
-    p_run.add_argument("-d", "--degree", type=int, default=1)
-    p_run.add_argument("--iterations", type=int, default=10)
-    p_run.add_argument("--feed", action="append",
-                       help="pipe=v1,v2,... (repeatable)")
+    _add_run_flags(p_run, degree=1)
     p_run.add_argument("--profile", action="store_true",
                        help="print per-stage/per-pipe runtime counters")
-    p_run.add_argument("--faults", metavar="PLAN",
-                       help="fault-injection plan: builtin name or JSON file")
-    p_run.add_argument("--watchdog-quantum", type=int, default=None,
-                       metavar="N",
-                       help="livelock check every N scheduler steps "
-                            "(enables the deadlock watchdog)")
-    p_run.add_argument("--isolate-traps", action="store_true",
-                       help="quarantine trapped packets instead of aborting")
-    p_run.add_argument("--dead-letters", metavar="FILE",
-                       help="write quarantined-packet records as JSON")
-    _add_partition_flags(p_run)
-    _add_cache_flags(p_run)
     p_run.set_defaults(func=cmd_run)
+
+    p_trace = sub.add_parser(
+        "trace", help="`run` under a tracer: write a Chrome-trace JSON of "
+                      "the verified compile + run")
+    _add_run_flags(p_trace, degree=2)
+    p_trace.add_argument("-o", "--output", default="trace.json")
+    # A trace always carries the runtime counters, so it always profiles.
+    p_trace.set_defaults(func=cmd_trace, profile=True)
 
     p_chaos = sub.add_parser(
         "chaos", help="run the chaos differential (faults + pipelining)")
-    p_chaos.add_argument("--app", default="ipv4",
-                         help="benchmark app (default: ipv4)")
-    p_chaos.add_argument("--packets", type=int, default=40)
-    p_chaos.add_argument("--seed", type=int, default=7)
+    _add_workload_flags(p_chaos, packets=40, app=True)
     p_chaos.add_argument("--degrees", default="1,2,4",
                          help="comma-separated pipeline degrees")
     p_chaos.add_argument("--plans", nargs="*",
                          help="builtin plan names or JSON files "
                               "(default: all builtin plans)")
-    p_chaos.add_argument("-o", "--output", default=None,
+    p_chaos.add_argument("-o", "--output",
                          help="write the chaos report as JSON")
     p_chaos.add_argument("--dead-letters", metavar="FILE",
                          help="write all dead-letter records as JSON")
@@ -907,26 +872,20 @@ def build_parser() -> argparse.ArgumentParser:
                               "(see --apps) instead of one")
     p_chaos.add_argument("--apps", nargs="*",
                          help="apps for --sweep (default: every "
-                              "stream-driven app)")
-    p_chaos.add_argument("-j", "--jobs", type=int, default=1,
-                         help="worker processes for --sweep (default: 1)")
-    p_chaos.add_argument("--keep-going", action="store_true",
-                         help="with --sweep: record failed cells and "
-                              "keep running instead of failing fast")
+                              "stream-driven app); comma or space "
+                              "separated")
+    _add_sweep_flags(p_chaos, "worker processes for --sweep (default: 1)")
     _add_cache_flags(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_serve = sub.add_parser(
         "serve",
         help="fault-tolerant sharded serving (supervised worker pool)")
-    p_serve.add_argument("--app", default="ipv4",
-                         help="benchmark app (default: ipv4)")
+    _add_workload_flags(p_serve, packets=48, app=True)
     p_serve.add_argument("--shards", type=int, default=4,
                          help="worker processes / flow shards (default: 4)")
     p_serve.add_argument("-d", "--degree", type=int, default=1,
                          help="pipeline degree inside each worker")
-    p_serve.add_argument("--packets", type=int, default=48)
-    p_serve.add_argument("--seed", type=int, default=7)
     p_serve.add_argument("--batch", type=int, default=4,
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
@@ -961,41 +920,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--trace", metavar="FILE", default=None,
                          help="write a Chrome trace of shard lifecycle "
                               "events to FILE")
-    p_serve.add_argument("-o", "--output", default=None,
+    p_serve.add_argument("-o", "--output",
                          help="write the serve report as JSON")
     _add_cache_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
-    p_trace = sub.add_parser(
-        "trace", help="emit a Chrome-trace JSON of compile + run")
-    p_trace.add_argument("file")
-    p_trace.add_argument("--pps")
-    p_trace.add_argument("-d", "--degree", type=int, default=2)
-    p_trace.add_argument("--iterations", type=int, default=10)
-    p_trace.add_argument("--feed", action="append",
-                         help="pipe=v1,v2,... (repeatable)")
-    p_trace.add_argument("--faults", metavar="PLAN",
-                         help="fault-injection plan: builtin name or "
-                              "JSON file")
-    p_trace.add_argument("--watchdog-quantum", type=int, default=None,
-                         metavar="N",
-                         help="livelock check every N scheduler steps "
-                              "(enables the deadlock watchdog)")
-    p_trace.add_argument("--isolate-traps", action="store_true",
-                         help="quarantine trapped packets instead of "
-                              "aborting")
-    p_trace.add_argument("-o", "--output", default="trace.json")
-    _add_cache_flags(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
-
     p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
-    p_fig.add_argument("--packets", type=int, default=60)
+    _add_workload_flags(p_fig, seed=False)
     _add_cache_flags(p_fig)
     p_fig.set_defaults(func=cmd_figures)
 
     p_bench = sub.add_parser(
         "bench", help="run the performance regression harness")
-    p_bench.add_argument("--packets", type=int, default=60)
+    _add_workload_flags(p_bench, seed=False)
     p_bench.add_argument("-o", "--output",
                          default="bench-out/BENCH_headline.json",
                          help="report path (default: "
@@ -1003,15 +940,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "committed baseline stays untouched)")
     p_bench.add_argument("--quick", action="store_true",
                          help="small degree sweep (1-4) for smoke runs")
-    p_bench.add_argument("-j", "--jobs", type=int, default=1,
-                         help="fan the per-app sweep cells over N worker "
+    _add_sweep_flags(p_bench, "fan the per-app sweep cells over N worker "
                               "processes")
-    p_bench.add_argument("--keep-going", action="store_true",
-                         help="record failed sweep cells and keep "
-                              "running instead of failing fast")
-    p_bench.add_argument("--no-warm-start", action="store_true",
-                         help="solve every cut cold instead of seeding it "
-                              "from related earlier solves")
+    _add_warm_start_flag(p_bench)
     p_bench.add_argument("--profile", action="store_true",
                          help="print the partition-phase table (per app x "
                               "degree: seconds, cut iterations, pr work, "
@@ -1023,21 +954,14 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="pre-partition the benchmark matrix into the cache")
     p_plan.add_argument("--apps", nargs="*",
                         help="apps to plan (default: the Figure 19+20 "
-                             "suite)")
+                             "suite); comma or space separated")
     p_plan.add_argument("--degrees", default="1,2,3,4,5,6,7,8,9",
                         help="comma-separated pipeline degrees")
-    p_plan.add_argument("--packets", type=int, default=60)
-    p_plan.add_argument("--seed", type=int, default=7)
-    p_plan.add_argument("-j", "--jobs", type=int, default=1,
-                        help="fan apps over N worker processes; each "
+    _add_workload_flags(p_plan)
+    _add_sweep_flags(p_plan, "fan apps over N worker processes; each "
                              "worker keeps its app's whole degree row so "
                              "warm starts still apply")
-    p_plan.add_argument("--no-warm-start", action="store_true",
-                        help="solve every cut cold instead of seeding it "
-                             "from related earlier solves")
-    p_plan.add_argument("--keep-going", action="store_true",
-                        help="record failed apps and keep planning "
-                             "instead of failing fast")
+    _add_warm_start_flag(p_plan)
     _add_cache_flags(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -1061,8 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="incremental-restart partitioner knob")
     p_explore.add_argument("--max-block-instructions", default="12",
                            help="comma-separated block-split thresholds")
-    p_explore.add_argument("--packets", type=int, default=60)
-    p_explore.add_argument("--seed", type=int, default=7)
+    _add_workload_flags(p_explore)
     p_explore.add_argument("--weights", default=None,
                            help="objective weights, e.g. "
                                 "speedup=1,words=0.005,stages=0.01")
@@ -1080,16 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("-o", "--out", default="explore-out",
                            help="output directory (frontier.json, "
                                 "frontier.md, timings.json)")
-    p_explore.add_argument("-j", "--jobs", type=int, default=1,
-                           help="fan (app, knob-combo) rows over N worker "
+    _add_sweep_flags(p_explore, "fan (app, knob-combo) rows over N worker "
                                 "processes; frontier.json is identical "
                                 "at any -j level")
-    p_explore.add_argument("--keep-going", action="store_true",
-                           help="record failed cells and keep exploring "
-                                "instead of failing fast")
-    p_explore.add_argument("--no-warm-start", action="store_true",
-                           help="solve every cut cold instead of seeding "
-                                "it from related earlier solves")
+    _add_warm_start_flag(p_explore)
     _add_cache_flags(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 
@@ -1101,13 +1018,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--degrees", default="2,3,4",
                         help="comma-separated pipeline degrees, applied "
                              "round-robin per seed")
-    p_fuzz.add_argument("--packets", type=int, default=24,
-                        help="packets per differential run (default: 24)")
+    _add_workload_flags(p_fuzz, packets=24, seed=False,
+                        packets_help="packets per differential run "
+                                     "(default: 24)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report failing programs unshrunk")
-    p_fuzz.add_argument("-j", "--jobs", type=int, default=1,
-                        help="fan fuzz cases over N worker processes "
-                             "(identical report at any -j level)")
+    _add_sweep_flags(p_fuzz, "fan fuzz cases over N worker processes "
+                             "(identical report at any -j level)",
+                     keep_going=False)
     p_fuzz.add_argument("--self-test", action="store_true",
                         help="seed known partition defects instead; the "
                              "verifier must catch every one")

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import ReproError
+from repro.eval.sweep import SweepTask, run_sweep
 from repro.ir.inline import inline_module
 from repro.ir.lowering import lower_program
 from repro.ir.optimize import optimize_module
@@ -241,14 +243,15 @@ class FuzzReport:
         }
 
 
-def _fuzz_case(seed: int, degree: int, packets: int,
-               shrink: bool, max_shrink_tests: int) -> FuzzFailure | None:
-    """Run (and, on failure, shrink) one fuzz case.
+def _fuzz_case(task, *, shrink: bool,
+               max_shrink_tests: int) -> FuzzFailure | None:
+    """Run (and, on failure, shrink) the case of one ``fuzz`` sweep task.
 
-    Module-level and fully determined by its arguments, so a process
-    pool can dispatch it by name and any worker produces the same
+    Fully determined by the task, so any sweep worker produces the same
     answer for the same seed.
     """
+    [degree] = task.degrees
+    seed, packets = task.seed, task.packets
     source = random_pps_source(seed)
     try:
         check_program(source, degree, packets=packets, seed=seed)
@@ -276,47 +279,36 @@ def _fuzz_case(seed: int, degree: int, packets: int,
         return failure
 
 
-def _fuzz_worker(args: tuple) -> FuzzFailure | None:
-    """Picklable pool entry point: unpack one :func:`_fuzz_case` call."""
-    return _fuzz_case(*args)
-
-
 def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
              degrees: tuple = (2, 3, 4), packets: int = 24,
              shrink: bool = True, max_shrink_tests: int = 200,
-             jobs: int = 1, progress=None) -> FuzzReport:
+             jobs: int = 1) -> FuzzReport:
     """Fuzz ``seeds`` generated programs through the whole contract.
 
     Every case gets a deterministic degree from ``degrees`` (round
     robin) and a deterministic input stream, so a failing seed printed
-    by CI reproduces locally with the same flags.  ``progress`` is an
-    optional callback invoked with (seed, failure-or-None).
+    by CI reproduces locally with the same flags.
 
-    ``jobs > 1`` fans the cases over a process pool (``repro fuzz -j``).
-    Each case is a pure function of its seed, and results are merged in
-    seed order, so the report is identical at any parallelism level —
-    only ``progress`` timing changes (it still fires in seed order,
-    after the parallel region).
+    The cases run through :func:`repro.eval.sweep.run_sweep`, one task
+    per seed, on ``jobs`` worker processes (``repro fuzz -j``).  Each
+    case is a pure function of its seed and results merge in seed
+    order, so the report is identical at any parallelism level.  A
+    worker that dies raises :class:`~repro.eval.sweep.SweepError`
+    naming its seed and a ``repro fuzz --seeds 1`` one-liner.
     """
     report = FuzzReport(seeds=seeds, start_seed=start_seed,
                         degrees=tuple(degrees), packets=packets)
-    calls = [(start_seed + index,
-              report.degrees[index % len(report.degrees)],
-              packets, shrink, max_shrink_tests)
+    degrees = report.degrees
+    tasks = [SweepTask(kind="fuzz", app="progen",
+                       degrees=(degrees[index % len(degrees)],),
+                       packets=packets, seed=start_seed + index)
              for index in range(seeds)]
-    if jobs > 1 and len(calls) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(_fuzz_worker, calls)
-    else:
-        outcomes = (_fuzz_case(*call) for call in calls)
-    for call, failure in zip(calls, outcomes):
-        report.cases += 1
-        if failure is not None:
-            report.failures.append(failure)
-        if progress is not None:
-            progress(call[0], failure)
+    worker = partial(_fuzz_case, shrink=shrink,
+                     max_shrink_tests=max_shrink_tests)
+    outcomes = run_sweep(tasks, jobs=jobs, worker=worker)
+    report.cases = len(outcomes)
+    report.failures = [failure for failure in outcomes
+                       if failure is not None]
     return report
 
 

@@ -50,7 +50,8 @@ class SweepError(ReproError):
 class SweepTask:
     """One self-contained sweep cell, picklable for worker dispatch."""
 
-    kind: str                       # "bench" | "chaos" | "partition" | "explore"
+    kind: str                       # "bench" | "chaos" | "partition" |
+    #                                 "explore" | "fuzz"
     app: str
     degrees: tuple                  # pipeline degrees to measure
     packets: int
@@ -86,6 +87,9 @@ class SweepTask:
             warm = "" if self.warm_start else " --no-warm-start"
             return (f"repro bench --packets {self.packets} -j 1{warm}  "
                     f"# plan cell: app={self.app} degrees={degrees}")
+        if self.kind == "fuzz":
+            return (f"repro fuzz --seeds 1 --start-seed {self.seed} "
+                    f"--degrees {degrees} --packets {self.packets}")
         if self.kind == "explore":
             warm = "" if self.warm_start else " --no-warm-start"
             inc = "on" if self.incremental else "off"
@@ -532,7 +536,9 @@ def run_sweep(tasks, *, jobs: int = 1, worker=None,
 
     ``jobs <= 1`` runs inline through the exact same worker function, so
     the parallel path cannot diverge from the sequential one.  ``worker``
-    is a test seam (must be a picklable module-level callable).
+    replaces the per-kind dispatch: a picklable module-level callable or
+    a ``functools.partial`` of one (``run_fuzz`` passes its shrink knobs
+    that way; tests use it as a seam).
 
     ``keep_going=False`` (the default) fails fast: the first failing
     task raises :class:`SweepError` and sibling results are discarded.

@@ -84,3 +84,22 @@ def standard_setup(state: MachineState, count: int = 40) -> int:
     state.load_region("tbl", [(i * 7 + 3) % 50 for i in range(64)])
     state.feed_pipe("in_q", [(i * 37) % 100 for i in range(count)])
     return count
+
+
+def flaky_supervisor(monkeypatch, threshold):
+    """Patch supervise_partition so the partitioner fails above
+    ``threshold`` — the supervisor must degrade, the CLI must exit 4."""
+    import repro.pipeline.supervisor as supervisor_module
+
+    real = supervisor_module.supervise_partition
+
+    def failing(module, pps_name, degree, **kwargs):
+        if degree > threshold:
+            raise RuntimeError("injected partitioner fault")
+        return pipeline_pps(module, pps_name, degree, **kwargs)
+
+    def flaky(module, pps_name, degree, **kwargs):
+        kwargs["partition"] = failing
+        return real(module, pps_name, degree, **kwargs)
+
+    monkeypatch.setattr(supervisor_module, "supervise_partition", flaky)

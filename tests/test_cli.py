@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import main
 
+from helpers import flaky_supervisor
+
 DEMO = """
 pipe in_q;
 pipe out_q;
@@ -124,28 +126,8 @@ def test_pipeline_prints_verifier_verdict(demo_file, capsys):
     assert "verified" in out
 
 
-def _flaky_supervisor(monkeypatch, threshold):
-    """Patch supervise_partition so the partitioner fails above
-    ``threshold`` — the supervisor must degrade, the CLI must exit 4."""
-    import repro.pipeline.supervisor as supervisor_module
-    from repro.pipeline.transform import pipeline_pps
-
-    real = supervisor_module.supervise_partition
-
-    def failing(module, pps_name, degree, **kwargs):
-        if degree > threshold:
-            raise RuntimeError("injected partitioner fault")
-        return pipeline_pps(module, pps_name, degree, **kwargs)
-
-    def flaky(module, pps_name, degree, **kwargs):
-        kwargs["partition"] = failing
-        return real(module, pps_name, degree, **kwargs)
-
-    monkeypatch.setattr(supervisor_module, "supervise_partition", flaky)
-
-
 def test_run_degraded_partition_exits_4(demo_file, capsys, monkeypatch):
-    _flaky_supervisor(monkeypatch, threshold=2)
+    flaky_supervisor(monkeypatch, threshold=2)
     assert main(["run", demo_file, "-d", "4", "--feed", "in_q=1,2,5",
                  "--iterations", "3"]) == 4
     captured = capsys.readouterr()
@@ -156,7 +138,7 @@ def test_run_degraded_partition_exits_4(demo_file, capsys, monkeypatch):
 
 
 def test_pipeline_degraded_partition_exits_4(demo_file, capsys, monkeypatch):
-    _flaky_supervisor(monkeypatch, threshold=2)
+    flaky_supervisor(monkeypatch, threshold=2)
     assert main(["pipeline", demo_file, "-d", "4"]) == 4
     captured = capsys.readouterr()
     assert "2 stages" in captured.out
@@ -215,3 +197,20 @@ def test_bench_writes_report(tmp_path, capsys):
     assert report["config"]["packets"] == 8
     assert report["config"]["degrees"] == [1, 2, 3, 4]
     assert report["figures"]["figure19"]["simulated_instructions"] > 0
+
+
+def test_chaos_sweep_accepts_comma_separated_apps(capsys):
+    assert main(["chaos", "--sweep", "--apps", "rx,ipv4", "--packets", "6",
+                 "--degrees", "1,2", "--plans", "drop-light",
+                 "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "app rx," in out and "app ipv4," in out
+    assert "sweep: 2 apps" in out
+
+
+def test_list_flags_reject_bad_items_with_exit_2(capsys):
+    for argv in (["chaos", "--degrees", "1,x"],
+                 ["plan", "--degrees", "two"],
+                 ["explore", "--epsilons", "0.1,wide"]):
+        assert main(argv) == 2
+        assert "error: bad --" in capsys.readouterr().err

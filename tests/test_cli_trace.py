@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import main
 
+from helpers import flaky_supervisor
+
 GOLDEN = Path(__file__).parent / "golden" / "trace_phase_names.txt"
 
 DEMO = """
@@ -136,3 +138,26 @@ def test_run_profile_prints_counters(demo_file, capsys):
     assert "runtime profile:" in out
     assert "demo.s1of2" in out
     assert "wake-hub:" in out
+
+
+def test_trace_traces_the_verified_run(demo_file, tmp_path, capsys):
+    # trace is `repro run` under a tracer: the traced partition went
+    # through the supervisor's verifier and the sequential reference.
+    assert main(["trace", demo_file, "-d", "2", "--feed", "in_q=1,2,5",
+                 "--iterations", "3", "-o", str(tmp_path / "t.json")]) == 0
+    out = capsys.readouterr().out
+    assert "partition: verified at degree 2" in out
+    assert "observationally equivalent" in out
+    assert "pipe out_q: [3, 6, 15]" in out
+    assert "demo: traced compile + run at degree 2" in out.splitlines()
+
+
+def test_trace_of_a_degraded_partition_exits_4(demo_file, tmp_path, capsys,
+                                               monkeypatch):
+    flaky_supervisor(monkeypatch, threshold=2)
+    output = tmp_path / "t.json"
+    assert main(["trace", demo_file, "-d", "4", "--feed", "in_q=1,2,5",
+                 "--iterations", "3", "-o", str(output)]) == 4
+    captured = capsys.readouterr()
+    assert "degraded to 2 stages" in captured.err
+    assert json.loads(output.read_text())["traceEvents"]

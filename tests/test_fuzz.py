@@ -13,6 +13,7 @@ Three contracts:
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -111,3 +112,25 @@ def test_parallel_fuzz_report_is_identical_to_serial():
     parallel = run_fuzz(seeds=4, packets=8, jobs=2)
     assert serial.as_dict() == parallel.as_dict()
     assert parallel.cases == 4
+
+
+def _crashing_case(*args, **kwargs):
+    os._exit(13)  # hard death: no exception, no cleanup
+
+
+def test_fuzz_worker_crash_is_a_sweep_error_with_its_seed(monkeypatch,
+                                                          capsys):
+    import repro.eval.fuzz as fuzz_module
+    from repro.cli import main
+    from repro.eval.sweep import SweepError
+
+    monkeypatch.setattr(fuzz_module, "_fuzz_case", _crashing_case)
+    with pytest.raises(SweepError) as excinfo:
+        run_fuzz(seeds=2, start_seed=5, degrees=(3,), packets=8, jobs=2)
+    seed = excinfo.value.task.seed
+    assert seed in (5, 6)
+    assert (f"repro fuzz --seeds 1 --start-seed {seed} --degrees 3"
+            in str(excinfo.value))
+
+    assert main(["fuzz", "--seeds", "2", "--packets", "8", "-j", "2"]) == 1
+    assert "repro fuzz --seeds 1 --start-seed" in capsys.readouterr().err
